@@ -1,4 +1,4 @@
-"""Engine bench — naive vs frontier-compacted vs compacted+threads.
+"""Engine bench — naive vs the level-flat engine vs engine+threads.
 
 Two entry points:
 
@@ -8,7 +8,10 @@ Two entry points:
 * a standalone emitter (``python benchmarks/bench_engine.py``) that sweeps
   batch sizes x tree sizes and writes ``BENCH_engine.json`` at the repo
   root — the repository's perf-trajectory record.  The acceptance point
-  (2^16 PSA-sorted queries over a 2^20-key tree) is tagged ``acceptance``.
+  (2^16 PSA-sorted queries over a 2^20-key tree) is tagged ``acceptance``;
+  the same point in arrival order (no PSA) is recorded as ``no_psa``.
+  The ``compacted_*`` field names are kept from the earlier
+  frontier-compaction engine so records stay comparable.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def test_engine_naive(benchmark, bench_tree, bench_queries):
 def test_engine_compacted(benchmark, bench_tree, bench_queries):
     issued = _psa_sorted(bench_tree, bench_queries)
     eng = BatchQueryEngine(bench_tree.layout)
-    eng.execute(issued)  # warm scratch + packed leaf block
+    eng.execute(issued)  # warm scratch + the snapshot's level arrays
     out = benchmark(eng.execute, issued)
     assert np.array_equal(out, search_batch(bench_tree.layout, issued))
     benchmark.extra_info["unique_nodes_per_level"] = (
@@ -66,7 +69,7 @@ def test_engine_compacted_threads(benchmark, bench_tree, bench_queries):
 
 
 def test_engine_full_pipeline(benchmark, bench_tree, bench_queries):
-    """search_many end to end (PSA + compaction + restore)."""
+    """search_many end to end (PSA + level-flat descent + restore)."""
     cfg = SearchConfig(ntg="fanout")
     bench_tree.search_many(bench_queries, cfg)  # warm engine
     out = benchmark(bench_tree.search_many, bench_queries, cfg)
@@ -86,13 +89,14 @@ def _best_of(fn, reps: int = 5) -> float:
 
 
 def measure(tree_log2: int, batch_log2: int, n_workers: int = 4,
-            seed: int = 1234) -> dict:
-    """One sweep point: naive vs compacted vs sharded on a PSA-sorted batch."""
+            seed: int = 1234, use_psa: bool = True) -> dict:
+    """One sweep point: naive vs engine vs sharded engine on a PSA-sorted
+    batch (``use_psa=False``: the same batch in arrival order)."""
     keys = make_key_set(1 << tree_log2, rng=seed)
     tree = HarmoniaTree.from_sorted(keys, fanout=64, fill=0.7)
     layout = tree.layout
     queries = uniform_queries(keys, 1 << batch_log2, rng=seed + 1)
-    issued = _psa_sorted(tree, queries)
+    issued = _psa_sorted(tree, queries) if use_psa else queries
 
     solo = BatchQueryEngine(layout)
     sharded = BatchQueryEngine(layout, n_workers=n_workers,
@@ -106,6 +110,7 @@ def measure(tree_log2: int, batch_log2: int, n_workers: int = 4,
     return {
         "tree_log2": tree_log2,
         "batch_log2": batch_log2,
+        "use_psa": use_psa,
         "height": layout.height,
         "naive_s": round(t_naive, 6),
         "compacted_s": round(t_comp, 6),
@@ -326,6 +331,7 @@ def main(out_path: str = None) -> dict:
         },
         "overhead_check": _overhead_check(acceptance, path),
         "rows": rows,
+        "no_psa": measure(20, 16, use_psa=False),
         "metrics": _capture_metrics(acceptance),
     }
     path.write_text(json.dumps(record, indent=2) + "\n")

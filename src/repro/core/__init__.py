@@ -3,7 +3,7 @@
 * :mod:`repro.core.layout` — the two-region structure (§3.1): BFS key region
   + prefix-sum child region.
 * :mod:`repro.core.search` — scalar and vectorized traversal (§3.2.1).
-* :mod:`repro.core.engine` — frontier-compacted batch query engine (the
+* :mod:`repro.core.engine` — level-flat batch query engine (the
   host-side exploitation of §4.1's PSA locality).
 * :mod:`repro.core.psa` — partially-sorted aggregation (§4.1).
 * :mod:`repro.core.stream` — double-buffered streaming executor overlapping

@@ -28,7 +28,7 @@ class SearchConfig:
     * ``profile_sample``: static-profiling sample size (paper: ~1000).
     * ``engine``: host-side batch executor behind
       :meth:`~repro.core.tree.HarmoniaTree.search_many` — ``"compacted"``
-      runs the frontier-compaction engine
+      runs the level-flat engine
       (:class:`~repro.core.engine.BatchQueryEngine`), ``"naive"`` the
       per-query broadcast traversal (the test oracle).
     * ``engine_workers`` / ``engine_min_parallel``: sharded execution —
@@ -60,10 +60,10 @@ class SearchConfig:
     #: Levels considered by NTG profiling (None = all; paper: the last few).
     ntg_profile_levels: Optional[int] = 2
     #: Use the per-level ``ntg_degrees`` vector (harmonia.cuh's
-    #: ``ntg_degree[depth]``) for the engine's chunk cohort and capped
-    #: scan windows.  ``False`` falls back to the single aggregate group
-    #: size everywhere — the ablation baseline the hypothesis suite pins
-    #: byte-identical results against.
+    #: ``ntg_degree[depth]``) for the engine's chunk cohort and the
+    #: simulator's per-level groups.  ``False`` falls back to the single
+    #: aggregate group size everywhere — the ablation baseline the
+    #: hypothesis suite pins byte-identical results against.
     ntg_per_level: bool = True
     seed: int = 0x5EED
     engine: str = "compacted"

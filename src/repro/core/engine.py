@@ -1,61 +1,58 @@
-"""Frontier-compacted batch query engine — the host-side PSA payoff.
+"""Level-flat batch query engine — the host-side PSA payoff.
 
 PSA (§4.1) exists so that *adjacent queries share traversal paths*: after
 the partial sort, queries landing in the same node sit next to each other
 in the batch.  On the GPU that adjacency becomes coalesced memory
 transactions (Figure 12's ``gld_transactions`` drop); on the host path it
-means the level-synchronous frontier — the array of "which node is query
-``i`` visiting at level ``l``" — is (nearly) run-length encoded.  The
-naive :func:`repro.core.search.search_batch` ignores this and gathers one
-``fanout - 1`` key row *per query* at every level, re-reading the same
-node up to ``n_queries`` times and doing O(n_queries · fanout) broadcast
-comparisons.
+means every level's binary searches walk neighbouring memory.  The naive
+:func:`repro.core.search.search_batch` ignores this and gathers one
+``fanout - 1`` key row *per query* at every level.
 
-:class:`BatchQueryEngine` compacts the frontier instead:
+:class:`BatchQueryEngine` flattens the descent instead.  Because the key
+region is stored in BFS order (§3.1), the real separator keys of one
+internal level, read left to right with the ``KEY_MAX`` pads dropped, are
+globally sorted, and Equation 1 turns into one array step per level:
 
-* at each internal level the frontier is split into **runs** of equal node
-  index (one boundary scan, O(n_queries)); for a PSA-sorted batch the run
-  count equals the number of *distinct* nodes visited — the CPU analog of
-  the per-warp transaction count the simulator reports;
-* each run issues **one** ``np.searchsorted`` of that node's key row
-  against its contiguous query slice — O(run_len · log fanout) instead of
-  O(run_len · fanout), and the node row is read once, not ``run_len``
-  times;
-* levels where runs are too short to pay for per-run dispatch (an
-  unsorted batch, or a tree level wider than the batch) automatically fall
-  back to the naive broadcast compare, so correctness never depends on the
-  input order;
-* the leaf level exploits §3.2.1's contiguous leaf block directly: all
-  real leaf keys form one globally sorted array (cached per layout
-  snapshot), so every query resolves with a single batched binary search —
-  no per-leaf work at all.
+* ``p = searchsorted(level_keys[l], q, side="right")`` counts the level's
+  keys ``<= q``.  They are the keys of every node left of the query's
+  node plus the ``slot`` keys of its own node that are ``<= q``;
+* every internal node has exactly ``keys + 1`` children, so the nodes
+  left of it own ``keys-before + node_local`` children on the next level,
+  and the child taken is ``child_local = p + node_local``.
+
+So the whole level is ``node_local += searchsorted(level_keys[l], q)`` —
+one C call and one add, whatever the batch order or tree width.  The leaf
+level exploits §3.2.1's contiguous leaf block directly: all real leaf keys
+form one globally sorted array, so every query resolves with one batched
+binary search.
+
+The flat arrays (:class:`LevelArrays`) are built once per
+:class:`HarmoniaLayout` object and stored on it, so every engine, tree
+facade, pinned epoch view, stream executor and tile scheduler over one
+snapshot shares one block, and a fresh engine costs O(1).  Batch updates
+replace the snapshot object (phase semantics), and the arrays die with it.
 
 Scratch buffers (:class:`EngineScratch`) are shape-sticky: repeated
-batches of the same size reuse every internal buffer, so the steady-state
-hot loop allocates only the output array and the (tiny) per-level run
-index.  For large batches the engine can shard the (contiguous,
-locality-preserving) query range over a thread pool — NumPy's kernels
-release the GIL, so chunks traverse in parallel.
+batches of the same size reuse every internal buffer.  For large batches
+the engine can shard the (contiguous, locality-preserving) query range
+over a thread pool — NumPy's kernels release the GIL, so chunks traverse
+in parallel.
 
 The engine reports :class:`EngineStats` with ``unique_nodes_per_level``,
-the counter that corresponds to the simulator's ``gld_transactions``
-(fewer distinct nodes touched per level ⇒ fewer memory transactions on
-the device, Figure 12).  By the disjoint-children property of Equation 1
-the run count can only grow from one level to the next, so the counter is
-monotonically non-decreasing down the tree.
-
-Caching discipline: the engine binds to one :class:`HarmoniaLayout`
-snapshot.  Batch updates replace the snapshot (phase semantics), so
-holders re-bind by identity check — see
-:meth:`repro.core.tree.HarmoniaTree.engine`.
+the frontier run count per level, which corresponds to the simulator's
+``gld_transactions`` (fewer distinct nodes touched per level ⇒ fewer
+memory transactions on the device, Figure 12).  By the disjoint-children
+property of Equation 1 the run count can only grow from one level to the
+next, so the counter is monotonically non-decreasing down the tree.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,13 +64,74 @@ from repro.utils.validation import ensure_key_array
 
 _clock = time.perf_counter
 
-#: Minimum mean run length for the grouped (per-run ``searchsorted``) path
-#: to beat the broadcast compare at a level; below it the per-run NumPy
-#: dispatch overhead dominates and the engine falls back.
-DEFAULT_GROUP_THRESHOLD = 8
-
 #: Batches smaller than this are not worth sharding across threads.
 DEFAULT_MIN_PARALLEL = 1 << 15
+
+
+class LevelArrays(NamedTuple):
+    """The flat per-snapshot arrays the level-flat descent reads.
+
+    ``level_keys[l]`` holds the real separator keys of internal level
+    ``l`` in BFS order (globally sorted); ``packed_keys`` /
+    ``packed_values`` are the leaf block with its pads squeezed out.  All
+    arrays are read-only: they are shared by every reader of the snapshot.
+    """
+
+    level_keys: Tuple[np.ndarray, ...]
+    packed_keys: np.ndarray
+    packed_values: np.ndarray
+    nbytes: int
+
+
+#: Serializes level-array builds, so concurrent first readers of one
+#: snapshot (epoch readers, shard workers) build its arrays once.
+_build_lock = threading.Lock()
+
+
+def level_arrays(layout: HarmoniaLayout) -> LevelArrays:
+    """The layout's :class:`LevelArrays`, built on first use and cached on
+    the layout object itself (not in a module cache, which would keep the
+    arrays of dead snapshots alive).  O(n_keys) once per snapshot."""
+    arrays = layout._level_arrays
+    built = False
+    if arrays is None:
+        with _build_lock:
+            arrays = layout._level_arrays
+            if arrays is None:
+                arrays = layout._level_arrays = _build_level_arrays(layout)
+                built = True
+    rec = obs.active
+    if rec.enabled:
+        rec.counter("engine.level_arrays.builds" if built
+                    else "engine.level_arrays.hits")
+        rec.gauge("engine.level_arrays.bytes", float(arrays.nbytes))
+    return arrays
+
+
+def _build_level_arrays(layout: HarmoniaLayout) -> LevelArrays:
+    starts = layout.level_starts.tolist()
+    # Every level's rows flattened with the KEY_MAX pads dropped; the
+    # last level is the leaf block.
+    rows = [layout.key_region[a:b].ravel() for a, b in zip(starts, starts[1:])]
+    real = [r != KEY_MAX for r in rows]
+    *level_keys, packed_keys = [r[m] for r, m in zip(rows, real)]
+    packed_values = layout.leaf_values.ravel()[real[-1]]
+    parts = (*level_keys, packed_keys, packed_values)
+    for a in parts:
+        a.setflags(write=False)
+    return LevelArrays(tuple(level_keys), packed_keys, packed_values,
+                       sum(int(a.nbytes) for a in parts))
+
+
+def _descend(level_keys, q: np.ndarray, node: np.ndarray):
+    """The level-flat descent, in place on ``node`` (level-local indices,
+    all 0 at the root).  Yields ``l`` once ``node`` holds each query's
+    node on level ``l``."""
+    for lvl, keys in enumerate(level_keys, 1):
+        # keys-before-node + slot (the level keys <= q), plus one child
+        # per node left of this one: Equation 1 in level-local indices.
+        node += np.searchsorted(keys, q, side="right")
+        yield lvl
 
 
 @dataclass(frozen=True)
@@ -83,28 +141,26 @@ class EngineStats:
     ``unique_nodes_per_level[l]`` counts the frontier *runs* at level
     ``l`` — for a PSA-grouped batch exactly the distinct nodes visited,
     the host-side analog of the simulator's ``gld_transactions`` (summed
-    across shards in the threaded mode).  ``grouped_levels`` /
-    ``broadcast_levels`` count level executions taken by each strategy.
+    across shards in the threaded mode).
     """
 
     n_queries: int
     height: int
     unique_nodes_per_level: np.ndarray  # (height,) int64
-    grouped_levels: int
-    broadcast_levels: int
     n_chunks: int
     issue_sorted: Optional[bool]  #: PSA metadata, None when unknown
-    #: Broadcast level executions that swept only the NTG scan window
-    #: (a multiple of that level's degree) instead of the full row.
-    capped_levels: int = 0
     #: True when the batch ran through the monotone dual-walk path
     #: (:meth:`BatchQueryEngine.execute_hinted`): the frontier carries
     #: lower-bound hints instead of per-query node indices.
     hinted: bool = False
+    #: Levels that fell back to a per-query broadcast compare.  The
+    #: level-flat descent has no fallback, so this is always 0.
+    broadcast_levels: int = 0
 
     @property
     def total_node_reads(self) -> int:
-        """Distinct node-row reads the compacted traversal performed."""
+        """Frontier runs summed over levels: the distinct node reads a
+        run-compacted traversal of the batch performs."""
         return int(self.unique_nodes_per_level.sum())
 
     @property
@@ -131,9 +187,6 @@ class EngineStats:
         """
         rec.counter("engine.batches")
         rec.counter("engine.queries", self.n_queries)
-        rec.counter("engine.levels.grouped", self.grouped_levels)
-        rec.counter("engine.levels.broadcast", self.broadcast_levels)
-        rec.counter("engine.levels.capped", self.capped_levels)
         if self.hinted:
             rec.counter("engine.hinted_batches")
         rec.counter("engine.node_reads", self.total_node_reads)
@@ -190,7 +243,7 @@ class EngineScratch:
 
 
 class BatchQueryEngine:
-    """Frontier-compacted point-lookup engine over one layout snapshot.
+    """Level-flat point-lookup engine over one layout snapshot.
 
     Drop-in accelerated replacement for
     :func:`repro.core.search.search_batch` (bit-identical results on any
@@ -198,7 +251,6 @@ class BatchQueryEngine:
 
     ``n_workers > 1`` shards large batches into contiguous chunks over a
     thread pool (chunking preserves the PSA adjacency inside each shard).
-    ``group_threshold`` tunes the per-level grouped-vs-broadcast cutover.
     """
 
     def __init__(
@@ -206,7 +258,6 @@ class BatchQueryEngine:
         layout: HarmoniaLayout,
         n_workers: int = 1,
         min_parallel: int = DEFAULT_MIN_PARALLEL,
-        group_threshold: int = DEFAULT_GROUP_THRESHOLD,
     ) -> None:
         if not isinstance(layout, HarmoniaLayout):
             raise ConfigError("BatchQueryEngine needs a HarmoniaLayout")
@@ -214,64 +265,39 @@ class BatchQueryEngine:
             raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
         if min_parallel < 1:
             raise ConfigError(f"min_parallel must be >= 1, got {min_parallel}")
-        if group_threshold < 1:
-            raise ConfigError(
-                f"group_threshold must be >= 1, got {group_threshold}"
-            )
         self.layout = layout
         self.n_workers = int(n_workers)
         self.min_parallel = int(min_parallel)
-        self.group_threshold = int(group_threshold)
         self._scratch = [EngineScratch() for _ in range(self.n_workers)]
-        self._packed_keys: Optional[np.ndarray] = None
-        self._packed_values: Optional[np.ndarray] = None
         self.last_stats: Optional[EngineStats] = None
 
     @property
     def scratch_nbytes(self) -> int:
         """Bytes currently held by the shape-sticky scratch pools — the
         resident traversal footprint the tile scheduler budgets against
-        (the packed leaf block is part of the layout snapshot, not the
+        (the level arrays belong to the layout snapshot, not to the
         per-batch footprint)."""
         return sum(s.nbytes for s in self._scratch)
 
-    # ------------------------------------------------------------ leaf block
-
     def _packed_leaves(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The contiguous leaf block with sentinel pads squeezed out.
-
-        §3.2.1's point: leaves are one consecutive array, so the real leaf
-        keys are globally sorted once the ``KEY_MAX`` pads between rows are
-        removed.  Built once per layout snapshot, O(n_keys).
-        """
-        if self._packed_keys is None:
-            layout = self.layout
-            leaf_keys = layout.leaf_keys.ravel()
-            mask = leaf_keys != KEY_MAX
-            self._packed_keys = np.ascontiguousarray(leaf_keys[mask])
-            self._packed_values = np.ascontiguousarray(
-                layout.leaf_values.ravel()[mask]
-            )
-        return self._packed_keys, self._packed_values
-
-    def share_packed_leaves(self, other: "BatchQueryEngine") -> None:
-        """Adopt ``other``'s packed leaf block instead of rebuilding it.
-
-        The packed arrays are immutable once built (phase semantics: batch
-        updates swap the whole layout snapshot), so engines over the *same*
-        snapshot can share them safely — the streaming path spins up one
-        engine per call for thread safety and this keeps that O(1) instead
-        of O(n_keys).
-        """
-        if other.layout is not self.layout:
-            raise ConfigError(
-                "share_packed_leaves requires the same layout snapshot"
-            )
-        other._packed_leaves()
-        self._packed_keys = other._packed_keys
-        self._packed_values = other._packed_values
+        """The snapshot's shared packed leaf block ``(keys, values)``:
+        §3.2.1's contiguous leaf array with the ``KEY_MAX`` pads removed,
+        globally sorted."""
+        arrays = level_arrays(self.layout)
+        return arrays.packed_keys, arrays.packed_values
 
     # ------------------------------------------------------------- execution
+
+    def _result_buffer(self, nq: int, out: Optional[np.ndarray]) -> np.ndarray:
+        if out is None:
+            return np.full(nq, NOT_FOUND, dtype=VALUE_DTYPE)
+        if out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
+            raise ConfigError(
+                f"out must be shape ({nq},) dtype {np.dtype(VALUE_DTYPE)}, "
+                f"got shape {out.shape} dtype {out.dtype}"
+            )
+        out.fill(NOT_FOUND)
+        return out
 
     def execute(
         self,
@@ -280,94 +306,70 @@ class BatchQueryEngine:
         out: Optional[np.ndarray] = None,
         chunk_quantum: int = 1,
         overlay=None,
-        scan_widths=None,
     ) -> np.ndarray:
         """Batch point lookup; values aligned with ``queries`` as given
         (no PSA restore — use :meth:`execute_prepared` for that).
 
         ``issue_sorted`` is the PSA metadata hint recorded in the stats;
-        correctness never depends on it (runs are detected per level).
-        ``out`` lets callers supply the result buffer (the streaming
-        executor's per-slot scratch); it must match the batch size and is
-        overwritten in full.  ``chunk_quantum`` aligns thread-shard
-        boundaries to a multiple of the NTG cohort (§4.2): queries the
-        narrowed groups would serve in one warp stay in one chunk, so the
-        split never severs a PSA run mid-cohort.  With per-level degrees
-        the cohort is ``warp_size // min(ntg_degrees)`` — the quantum must
-        cover the *widest* cohort any level forms, i.e. the narrowest
-        degree.  Results are identical for any quantum.  ``scan_widths``
-        (per level, from :func:`repro.core.ntg.level_scan_widths`) caps the
-        broadcast fallback's row sweep at each internal level to that
-        level's NTG window — a multiple of the level's degree — with an
-        exact fix-up pass for queries that exhaust the window, so results
-        never change while the common case compares a fraction of the row.
-        ``overlay`` is an optional ``fn(keys, values) -> values`` post-pass
-        applied to the finished batch in place — the snapshot-epoch read
-        path passes :meth:`repro.core.delta.DeltaView.overlay_values` here,
-        and since the overlay is elementwise by key it commutes with the
-        PSA permutation.
+        correctness never depends on it.  ``out`` lets callers supply the
+        result buffer (the streaming executor's per-slot scratch); it
+        must match the batch size and is overwritten in full.
+        ``chunk_quantum`` aligns thread-shard boundaries to a multiple of
+        the NTG cohort (§4.2): queries the narrowed groups would serve in
+        one warp stay in one chunk, so the split never severs a PSA run
+        mid-cohort.  With per-level degrees the cohort is
+        ``warp_size // min(ntg_degrees)``.  Results are identical for any
+        quantum.  ``overlay`` is an optional ``fn(keys, values) -> values``
+        post-pass applied to the finished batch in place — the
+        snapshot-epoch read path passes
+        :meth:`repro.core.delta.DeltaView.overlay_values` here, and since
+        the overlay is elementwise by key it commutes with the PSA
+        permutation.
         """
         rec = obs.active
         t_start = _clock() if rec.enabled else 0.0
         q = ensure_key_array(np.asarray(queries), "queries")
         nq = q.size
         h = self.layout.height
-        if scan_widths is not None:
-            scan_widths = tuple(int(w) for w in scan_widths)
-            if len(scan_widths) != h:
-                raise ConfigError(
-                    f"scan_widths length {len(scan_widths)} != height {h}"
-                )
-            if any(w < 1 for w in scan_widths):
-                raise ConfigError("scan_widths entries must be >= 1")
-        if out is None:
-            values = np.full(nq, NOT_FOUND, dtype=VALUE_DTYPE)
-        else:
-            if out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
-                raise ConfigError(
-                    f"out must be shape ({nq},) dtype {np.dtype(VALUE_DTYPE)}, "
-                    f"got shape {out.shape} dtype {out.dtype}"
-                )
-            values = out
-            values.fill(NOT_FOUND)
-        if nq == 0:
-            self.last_stats = EngineStats(
-                0, h, np.zeros(h, dtype=np.int64), 0, 0, 0, issue_sorted
-            )
-            if rec.enabled:
-                self.last_stats.record_to(rec, t_start, _clock())
-            return values
-        self._packed_leaves()  # build before any worker threads start
-
-        if self.n_workers > 1 and nq >= max(self.min_parallel, self.n_workers):
-            chunks = self._chunk_bounds(nq, chunk_quantum)
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._run_chunk, q[s:e], self._scratch[i],
-                        values[s:e], scan_widths,
-                    )
-                    for i, (s, e) in enumerate(chunks)
-                ]
-                parts = [f.result() for f in futures]
-            uniq = np.sum([p[0] for p in parts], axis=0).astype(np.int64)
-            grouped = sum(p[1] for p in parts)
-            broadcast = sum(p[2] for p in parts)
-            capped = sum(p[3] for p in parts)
-            n_chunks = len(chunks)
-        else:
-            uniq, grouped, broadcast, capped = self._run_chunk(
-                q, self._scratch[0], values, scan_widths
-            )
-            n_chunks = 1
-        if overlay is not None:
-            overlay(q, values)
-        self.last_stats = EngineStats(
-            nq, h, uniq, grouped, broadcast, n_chunks, issue_sorted, capped
-        )
+        values = self._result_buffer(nq, out)
+        uniq = np.zeros(h, dtype=np.int64)
+        n_chunks = 0
+        if nq:
+            arrays = level_arrays(self.layout)  # before any worker starts
+            if self.n_workers > 1 and nq >= max(self.min_parallel,
+                                                 self.n_workers):
+                chunks = self._chunk_bounds(nq, chunk_quantum)
+                with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+                    futures = [
+                        pool.submit(self._run_chunk, q[s:e], arrays,
+                                    self._scratch[i], values[s:e])
+                        for i, (s, e) in enumerate(chunks)
+                    ]
+                    for f in futures:
+                        uniq += f.result()
+                n_chunks = len(chunks)
+            else:
+                uniq = self._run_chunk(q, arrays, self._scratch[0], values)
+                n_chunks = 1
+            if overlay is not None:
+                overlay(q, values)
+        self.last_stats = EngineStats(nq, h, uniq, n_chunks, issue_sorted)
         if rec.enabled:
             self.last_stats.record_to(rec, t_start, _clock())
         return values
+
+    def level_nodes(self, queries) -> np.ndarray:
+        """BFS node index each query visits at every level, ``(height,
+        n_queries)`` — the level-flat counterpart of
+        :attr:`repro.core.search.TraversalTrace.node_idx`."""
+        q = ensure_key_array(np.asarray(queries), "queries")
+        starts = self.layout.level_starts
+        trace = np.empty((self.layout.height, q.size), dtype=np.int64)
+        trace[0] = 0  # the root
+        node = np.zeros(q.size, dtype=np.int64)
+        for lvl in _descend(level_arrays(self.layout).level_keys, q, node):
+            np.add(node, starts[lvl], out=trace[lvl])
+        return trace
 
     def execute_hinted(
         self,
@@ -378,18 +380,16 @@ class BatchQueryEngine:
         """Dual-walk lookup for an **ascending** batch: each level's
         ``searchsorted`` starts from the previous frontier's lower bound.
 
-        The monotone order inverts the per-level work: instead of
-        splitting the query array into runs of equal node index (one
-        ``searchsorted`` of the node's keys against each query slice),
-        the frontier is carried as ``(nodes, starts)`` — one entry per
-        *distinct* node — and each node's key row is searchsorted into
-        its own query slice to find the child cut points.  That is
-        O(frontier · fanout · log run) per level rather than
-        O(n_queries), and children whose query slice is empty are pruned
-        before they are ever visited — the JZ-tree dual-walk subtree
-        skip: a whole subtree of ``tree_b`` is never descended when no
-        probe from ``tree_a`` lands in its key range.  ``KEY_MAX`` row
-        pads cut at ``e`` and so prune their children automatically.
+        The monotone order inverts the per-level work: the frontier is
+        carried as ``(nodes, starts)`` — one entry per *distinct* node —
+        and each node's key row is searchsorted into its own query slice
+        to find the child cut points.  That is O(frontier · fanout ·
+        log run) per level rather than O(n_queries), and children whose
+        query slice is empty are pruned before they are ever visited —
+        the JZ-tree dual-walk subtree skip: a whole subtree of ``tree_b``
+        is never descended when no probe from ``tree_a`` lands in its key
+        range.  ``KEY_MAX`` row pads cut at ``e`` and so prune their
+        children automatically.
 
         Values are byte-identical to :meth:`execute` on the same batch —
         the contract the join layer's hypothesis suite pins — because
@@ -411,52 +411,24 @@ class BatchQueryEngine:
             raise ConfigError(
                 "execute_hinted requires an ascending (sorted) batch"
             )
-        if out is None:
-            values = np.full(nq, NOT_FOUND, dtype=VALUE_DTYPE)
-        else:
-            if out.shape != (nq,) or out.dtype != np.dtype(VALUE_DTYPE):
-                raise ConfigError(
-                    f"out must be shape ({nq},) dtype "
-                    f"{np.dtype(VALUE_DTYPE)}, got shape {out.shape} "
-                    f"dtype {out.dtype}"
-                )
-            values = out
-            values.fill(NOT_FOUND)
-        if nq == 0:
-            self.last_stats = EngineStats(
-                0, h, np.zeros(h, dtype=np.int64), 0, 0, 0, True,
-                hinted=True,
-            )
-            if rec.enabled:
-                self.last_stats.record_to(rec, t_start, _clock())
-            return values
-        self._packed_leaves()
-        scratch = self._scratch[0]
-        uniq = self._walk_hinted(q, scratch)
-
-        # Leaf finish — identical to _run_chunk's packed-leaf resolve.
-        pk, pv = self._packed_keys, self._packed_values
-        pos = scratch.array("pos", nq)
-        pos[:] = np.searchsorted(pk, q, side="left")
-        np.minimum(pos, pk.size - 1, out=pos)
-        found = scratch.array("found", nq, np.bool_)
-        np.equal(pk[pos], q, out=found)
-        values[found] = pv[pos[found]]
-        if overlay is not None:
-            overlay(q, values)
-        self.last_stats = EngineStats(
-            nq, h, uniq, max(h - 1, 0), 0, 1, True, hinted=True
-        )
+        values = self._result_buffer(nq, out)
+        uniq = np.zeros(h, dtype=np.int64)
+        if nq:
+            arrays = level_arrays(self.layout)
+            scratch = self._scratch[0]
+            uniq = self._walk_hinted(q)
+            self._leaf_finish(q, arrays, scratch, values)
+            if overlay is not None:
+                overlay(q, values)
+        self.last_stats = EngineStats(nq, h, uniq, int(nq > 0), True,
+                                      hinted=True)
         if rec.enabled:
             self.last_stats.record_to(rec, t_start, _clock())
         return values
 
-    def _walk_hinted(
-        self, q: np.ndarray, scratch: EngineScratch
-    ) -> np.ndarray:
+    def _walk_hinted(self, q: np.ndarray) -> np.ndarray:
         """Frontier walk of one ascending batch; returns the per-level
-        distinct-node counts (the hinted analog of ``_run_chunk``'s run
-        counts — here the frontier *is* the run list)."""
+        distinct-node counts (here the frontier *is* the run list)."""
         layout = self.layout
         kr = layout.key_region
         ps = layout.prefix_sum
@@ -503,20 +475,16 @@ class BatchQueryEngine:
         ``warp_size // min(ntg_degrees)``) — the warp cohort of the
         *narrowest* level is the adjacency unit, so thread shards cut on
         cohort boundaries at every level, not just the aggregate width.
-        The batch's per-level ``scan_widths`` flow into the broadcast
-        fallback's capped row sweep.
         """
         if chunk_quantum is None:
             chunk_quantum = getattr(prepared, "chunk_quantum", None)
             if chunk_quantum is None:  # legacy prepared batches
                 chunk_quantum = max(1, int(prepared.group_size))
-        widths = getattr(prepared, "scan_widths", ()) or None
         issue = self.execute(
             prepared.psa.queries,
             issue_sorted=prepared.psa.issue_sorted,
             chunk_quantum=chunk_quantum,
             overlay=overlay,
-            scan_widths=widths,
         )
         return prepared.psa.scatter_restore(issue)
 
@@ -531,103 +499,49 @@ class BatchQueryEngine:
     def _run_chunk(
         self,
         q: np.ndarray,
+        arrays: LevelArrays,
         scratch: EngineScratch,
         out: np.ndarray,
-        scan_widths=None,
-    ) -> Tuple[np.ndarray, int, int, int]:
-        """Traverse one contiguous query chunk, writing values into ``out``
-        (a view of the shared result array).  Returns
-        ``(runs_per_level, grouped_levels, broadcast_levels,
-        capped_levels)``."""
-        layout = self.layout
-        kr = layout.key_region
-        ps = layout.prefix_sum
-        h = layout.height
-        slots = layout.slots
+    ) -> np.ndarray:
+        """Descend one contiguous query chunk level by level and finish it
+        on the packed leaf block, writing values into ``out`` (a view of
+        the shared result array).  Returns the per-level run counts."""
         nq = q.size
-
+        h = self.layout.height
         node = scratch.array("node", nq)
-        tmp = scratch.array("tmp", nq)
-        slot = scratch.array("slot", nq)
+        change = scratch.array("change", nq - 1, np.bool_)
         node[:] = 0
-        uniq = np.zeros(h, dtype=np.int64)
-        grouped = broadcast = capped = 0
-
-        for lvl in range(h - 1):
-            starts = self._run_starts(node, scratch)
-            uniq[lvl] = starts.size
-            if starts.size * self.group_threshold <= nq:
-                grouped += 1
-                # One searchsorted per distinct node against its contiguous
-                # query slice: the row is read once however many queries
-                # share it.
-                bounds = starts.tolist() + [nq]
-                for j in range(starts.size):
-                    s, e = bounds[j], bounds[j + 1]
-                    slot[s:e] = np.searchsorted(
-                        kr[node[s]], q[s:e], side="right"
-                    )
-            else:
-                broadcast += 1
-                # Runs too short to pay for per-run dispatch: per-query
-                # broadcast compare.  With a per-level NTG scan width the
-                # sweep covers only the level's window — the degree-aligned
-                # column count the narrowed group would touch — and a
-                # second exact pass fixes up the rare queries whose slot
-                # saturates the window.  Rows are sorted with KEY_MAX pads,
-                # so entries past the window can be <= q only when every
-                # windowed entry is, which is exactly the saturation case.
-                w = slots
-                if scan_widths is not None:
-                    w = min(int(scan_widths[lvl]), slots)
-                if w < slots:
-                    capped += 1
-                rows = scratch.array(f"rows:{w}", (nq, w))
-                mask = scratch.array(f"mask:{w}", (nq, w), np.bool_)
-                np.take(kr[:, :w], node, axis=0, out=rows)
-                np.less_equal(rows, q[:, None], out=mask)
-                np.sum(mask, axis=1, out=slot)
-                if w < slots:
-                    sat = np.flatnonzero(slot == w)
-                    if sat.size:
-                        rest = kr[node[sat], w:]
-                        slot[sat] += np.sum(
-                            rest <= q[sat, None], axis=1
-                        )
-            np.take(ps, node, out=tmp)
-            np.add(tmp, slot, out=node)  # Equation 1, vectorized
-
-        uniq[h - 1] = self._run_starts(node, scratch).size
-
-        # Leaf level: one batched binary search over the packed contiguous
-        # leaf block (§3.2.1) resolves every query at once.
-        pk, pv = self._packed_keys, self._packed_values
-        pos = np.searchsorted(pk, q, side="left")
-        np.minimum(pos, pk.size - 1, out=pos)
-        found = scratch.array("found", nq, np.bool_)
-        np.equal(pk[pos], q, out=found)
-        out[found] = pv[pos[found]]  # misses keep the NOT_FOUND prefill
-        return uniq, grouped, broadcast, capped
+        uniq = np.ones(h, dtype=np.int64)  # one root run
+        for lvl in _descend(arrays.level_keys, q, node):
+            np.not_equal(node[1:], node[:-1], out=change)
+            uniq[lvl] += np.count_nonzero(change)
+        self._leaf_finish(q, arrays, scratch, out)
+        return uniq
 
     @staticmethod
-    def _run_starts(node: np.ndarray, scratch: EngineScratch) -> np.ndarray:
-        """Start indices of the maximal equal-value runs of ``node``."""
-        n = node.size
-        if n <= 1:
-            return np.zeros(n, dtype=np.int64)
-        change = scratch.array("change", n - 1, np.bool_)
-        np.not_equal(node[1:], node[:-1], out=change)
-        inner = np.flatnonzero(change)
-        starts = np.empty(inner.size + 1, dtype=np.int64)
-        starts[0] = 0
-        np.add(inner, 1, out=starts[1:])
-        return starts
+    def _leaf_finish(
+        q: np.ndarray, arrays: LevelArrays, scratch: EngineScratch,
+        out: np.ndarray,
+    ) -> None:
+        """One batched binary search over the packed contiguous leaf block
+        (§3.2.1) resolves every query; misses keep the ``NOT_FOUND``
+        prefill.  A snapshot without keys resolves nothing."""
+        pk, pv = arrays.packed_keys, arrays.packed_values
+        if pk.size == 0:
+            return
+        pos = scratch.array("pos", q.size)
+        pos[:] = np.searchsorted(pk, q, side="left")
+        np.minimum(pos, pk.size - 1, out=pos)
+        found = scratch.array("found", q.size, np.bool_)
+        np.equal(pk[pos], q, out=found)
+        out[found] = pv[pos[found]]
 
 
 __all__ = [
     "BatchQueryEngine",
     "EngineScratch",
     "EngineStats",
-    "DEFAULT_GROUP_THRESHOLD",
+    "LevelArrays",
     "DEFAULT_MIN_PARALLEL",
+    "level_arrays",
 ]

@@ -42,7 +42,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.constants import KEY_MAX
 from repro.core.config import SearchConfig, UpdateConfig
 from repro.core.delta import (
     DEFAULT_MAX_RUNS,
@@ -50,6 +49,7 @@ from repro.core.delta import (
     DeltaView,
     resolve_batch,
 )
+from repro.core.engine import level_arrays
 from repro.core.layout import HarmoniaLayout
 from repro.core.search import contains_batch
 from repro.core.tree import HarmoniaTree
@@ -452,13 +452,11 @@ class EpochManager:
                         base_k = np.empty(0, dtype=np.int64)
                         base_v = np.empty(0, dtype=base_k.dtype)
                     else:
-                        # Contiguous copies straight off the leaf block
-                        # (iter_leaf_items stacks into strided columns,
-                        # which would slow every downstream pass).
-                        lk = layout.key_region[layout.leaf_start:].ravel()
-                        live = lk != KEY_MAX
-                        base_k = lk[live]
-                        base_v = layout.leaf_values.ravel()[live]
+                        # The snapshot's shared packed leaf block: no
+                        # second copy of the base at the drain's peak.
+                        arrays = level_arrays(layout)
+                        base_k = arrays.packed_keys
+                        base_v = arrays.packed_values
                     new_k, new_v = view.merge_items(base_k, base_v)
                     if new_k.size:
                         fanout = (layout.fanout if layout is not None

@@ -103,6 +103,9 @@ class HarmoniaLayout:
         self._row_lists: dict = {}
         self._prefix_list: Optional[List[int]] = None
         self._leaf_bounds: Optional[np.ndarray] = None
+        # Flat per-level arrays of the level-flat engine descent, built
+        # and assigned as one tuple by repro.core.engine.level_arrays.
+        self._level_arrays = None
 
     # ------------------------------------------------------------- builders
 
@@ -268,25 +271,31 @@ class HarmoniaLayout:
         inside its routing interval.
         """
         if self._leaf_bounds is None:
-            bounds = np.full(1, np.iinfo(np.int64).min, dtype=KEY_DTYPE)
-            for lvl in range(self.height - 1):
-                a = int(self.level_starts[lvl])
-                b = int(self.level_starts[lvl + 1])
-                child_counts = np.diff(self.prefix_sum)[a:b]
-                n_children = int(child_counts.sum())
-                parent = np.repeat(np.arange(b - a), child_counts)
-                # Slot of each child within its parent (children of one
-                # level are contiguous on the next — §3.1's BFS order).
-                firsts = self.prefix_sum[a:b] - int(self.prefix_sum[a])
-                within = np.arange(n_children, dtype=np.int64) - firsts[parent]
-                nxt = np.where(
-                    within == 0,
-                    bounds[parent],
-                    self.key_region[a:b][parent, np.maximum(within - 1, 0)],
-                )
-                bounds = nxt.astype(KEY_DTYPE, copy=False)
-            self._leaf_bounds = bounds
+            *_, self._leaf_bounds = self._level_lower_bounds()
         return self._leaf_bounds
+
+    def _level_lower_bounds(self):
+        """Yield the lower routing bound of every node, one array per
+        level, root first (the root's bound is the int64 minimum)."""
+        bounds = np.full(1, np.iinfo(np.int64).min, dtype=KEY_DTYPE)
+        yield bounds
+        for lvl in range(self.height - 1):
+            a = int(self.level_starts[lvl])
+            b = int(self.level_starts[lvl + 1])
+            child_counts = np.diff(self.prefix_sum)[a:b]
+            n_children = int(child_counts.sum())
+            parent = np.repeat(np.arange(b - a), child_counts)
+            # Slot of each child within its parent (children of one
+            # level are contiguous on the next — §3.1's BFS order).
+            firsts = self.prefix_sum[a:b] - int(self.prefix_sum[a])
+            within = np.arange(n_children, dtype=np.int64) - firsts[parent]
+            nxt = np.where(
+                within == 0,
+                bounds[parent],
+                self.key_region[a:b][parent, np.maximum(within - 1, 0)],
+            )
+            bounds = nxt.astype(KEY_DTYPE, copy=False)
+            yield bounds
 
     def children_count(self, node: int) -> int:
         return int(self.prefix_sum[node + 1] - self.prefix_sum[node])
@@ -459,12 +468,28 @@ class HarmoniaLayout:
                 raise InvariantViolation(
                     f"level {lvl} children must exactly cover level {lvl + 1}"
                 )
-            # Internal node key count == child count - 1.
+            # Internal node key count == child count - 1: Equation 1's
+            # child index is then keys-before-node + node + slot, which is
+            # what the level-flat engine descent computes per level.
             rows = kr[a:b]
             key_counts = np.sum(rows != KEY_MAX, axis=1)
             if not bool(np.all(key_counts == counts[a:b] - 1)):
                 raise InvariantViolation(
                     f"level {lvl}: key count != children - 1 somewhere"
+                )
+
+        # Every node's keys lie inside its routing interval, so the real
+        # keys of one level, read in BFS order, are globally sorted (the
+        # level arrays the engine searches) and gapped leaves never hold a
+        # key traversal would not route to them.
+        for lvl, lo in enumerate(self._level_lower_bounds()):
+            a, b = int(self.level_starts[lvl]), int(self.level_starts[lvl + 1])
+            rows = kr[a:b]
+            hi = np.append(lo[1:], KEY_MAX)
+            outside = (rows < lo[:, None]) | (rows >= hi[:, None])
+            if bool(np.any(outside & (rows != KEY_MAX))):
+                raise InvariantViolation(
+                    f"level {lvl}: a key lies outside its routing interval"
                 )
 
         # Leaf keys globally sorted & unique, and count matches n_keys.

@@ -29,9 +29,9 @@ Equation 3/4 cost model, minimized exactly under the monotone constraint
 instead of greedily), and :func:`choose_group_size` attaches it to the
 returned :class:`NTGSelection` next to the aggregate single-width choice.
 :func:`level_scan_widths` derives from the same trace the per-level
-comparison-window widths the host engine's broadcast fallback uses to
-avoid sweeping whole rows (a narrowed degree means most queries resolve
-within a few chunks).
+comparison-window widths a narrowed group sweeps (a narrowed degree means
+most queries resolve within a few chunks).  They are reported with the
+selection; the host engine's level-flat descent no longer reads them.
 """
 
 from __future__ import annotations
@@ -129,10 +129,11 @@ class NTGSelection:
     #: (groups can split as the frontier descends but never re-merge).
     #: Empty for legacy selections built before per-level profiling.
     ntg_degrees: tuple = ()
-    #: Per-level key-window widths for the host engine's broadcast
-    #: fallback: the smallest multiple of that level's degree covering
-    #: the 95th-percentile comparison count.  Aligned with
-    #: ``ntg_degrees``; empty when per-level profiling was skipped.
+    #: Per-level key-window widths a narrowed group sweeps: the
+    #: smallest multiple of that level's degree covering the
+    #: 95th-percentile comparison count (reported, not executed).
+    #: Aligned with ``ntg_degrees``; empty when per-level profiling was
+    #: skipped.
     scan_widths: tuple = ()
 
 
@@ -245,14 +246,12 @@ def level_scan_widths(
     slots: int,
     quantile: float = 0.95,
 ) -> tuple:
-    """Per-level comparison-window widths for the broadcast fallback.
+    """Per-level comparison-window widths of the narrowed groups.
 
     For each level, the smallest multiple of that level's degree covering
     the ``quantile``-th percentile of the profiled early-exit comparison
-    counts, capped at ``slots``.  The engine compares only the first
-    ``width`` columns of each node row and runs an exact fix-up pass for
-    the rare queries that exhaust the window, so results are unchanged
-    while the common case touches a fraction of the row.
+    counts, capped at ``slots``: the columns of a node row a narrowed
+    group sweeps for all but the rarest queries.
     """
     slots = ensure_positive("slots", slots)
     if not 0.0 < quantile <= 1.0:

@@ -16,7 +16,7 @@ batches and runs a two-stage pipeline over them:
   :func:`~repro.sort.radix.partial_radix_argsort` on batch ``i+1`` (and
   further, up to the lookahead bound) and gather the issue-order queries
   into that batch's slot buffer;
-* **traverse stage** — the main thread runs the frontier-compacted
+* **traverse stage** — the main thread runs the level-flat
   :class:`~repro.core.engine.BatchQueryEngine` on batch ``i``'s issued
   queries and delivers results in arrival order with one direct scatter
   through the sort permutation (``out[order] = values`` — the inverse
@@ -81,7 +81,7 @@ class BatchTrace:
 
     All times are seconds relative to the stream's start; ``sort`` covers
     the partial radix argsort plus the gather into issue order, ``traverse``
-    the compacted-engine execution, ``scatter`` the ordered delivery into
+    the engine execution, ``scatter`` the ordered delivery into
     the caller's output slice.
     """
 
@@ -323,8 +323,9 @@ class StreamExecutor:
     Not thread-safe: one ``run`` at a time per executor (slot buffers and
     the engine scratch are reused across batches).  Concurrent streams each
     take their own executor — :meth:`~repro.core.tree.HarmoniaTree.search_stream`
-    does exactly that, sharing the immutable packed leaf block between them
-    via :meth:`~repro.core.engine.BatchQueryEngine.share_packed_leaves`.
+    does exactly that; every executor over one snapshot reads the same
+    level arrays (:func:`~repro.core.engine.level_arrays`), cached on the
+    layout object.
     """
 
     def __init__(
@@ -431,12 +432,11 @@ class StreamExecutor:
         cls,
         layout: HarmoniaLayout,
         config,
-        share_from: Optional[BatchQueryEngine] = None,
     ) -> "StreamExecutor":
         """Build from a :class:`~repro.core.config.SearchConfig`'s
-        ``stream_*`` knobs; ``share_from`` donates its packed leaf block
-        (built on demand) so per-call executors stay O(1) to create."""
-        ex = cls(
+        ``stream_*`` knobs.  The executor's engine reads the snapshot's
+        shared level arrays, so nothing is rebuilt per executor."""
+        return cls(
             layout,
             batch_size=config.stream_batch,
             depth=config.stream_depth,
@@ -450,9 +450,6 @@ class StreamExecutor:
                 config.stream_tile, config.stream_resident_tiles
             ),
         )
-        if share_from is not None and share_from.layout is layout:
-            ex.engine.share_packed_leaves(share_from)
-        return ex
 
     # --------------------------------------------------------------- running
 

@@ -82,7 +82,7 @@ class PreparedBatch:
     Carries everything the simulator / benches need to execute it exactly
     as configured: the issue-order queries, the PSA bookkeeping, the
     aggregate thread-group size and — when per-level NTG is on — the
-    ``ntg_degrees[depth]`` vector plus the matching engine scan windows.
+    ``ntg_degrees[depth]`` vector plus the matching NTG scan windows.
     """
 
     psa: PSABatch
@@ -91,8 +91,9 @@ class PreparedBatch:
     #: Per-level group widths (root first, non-increasing); empty when
     #: per-level NTG is disabled.
     ntg_degrees: Tuple[int, ...] = ()
-    #: Per-level broadcast scan windows aligned with ``ntg_degrees``;
-    #: empty when unprofiled (explicit/fanout widths) or disabled.
+    #: Per-level NTG scan windows aligned with ``ntg_degrees`` (reported
+    #: for benchmarks; the engine does not read them); empty when
+    #: unprofiled (explicit/fanout widths) or disabled.
     scan_widths: Tuple[int, ...] = ()
     warp_size: int = 32
 
@@ -169,7 +170,7 @@ class HarmoniaTree:
         return tree
 
     _empty_fanout: int = DEFAULT_FANOUT
-    #: Cached frontier-compaction engine (rebound on snapshot replacement).
+    #: Cached level-flat engine (rebound on snapshot replacement).
     _engine: Optional[BatchQueryEngine] = None
     #: Optional pinned :class:`~repro.core.delta.DeltaView` overlay.  Set
     #: by :meth:`~repro.core.epoch.EpochManager._snapshot` in concurrent
@@ -339,11 +340,12 @@ class HarmoniaTree:
             return out
 
     def engine(self, config: Optional[SearchConfig] = None) -> BatchQueryEngine:
-        """The frontier-compaction engine bound to the current snapshot.
+        """The level-flat engine bound to the current snapshot.
 
         Cached: rebuilt only when the layout snapshot is replaced (batch
         update) or the worker configuration changes, so scratch buffers
-        and the packed leaf block persist across batches.
+        persist across batches.  A rebuild is O(1): the level arrays live
+        on the layout and are shared by every reader of the snapshot.
         """
         cfg = config or self.search_config
         layout = self.layout  # raises on an empty tree
@@ -368,7 +370,7 @@ class HarmoniaTree:
         config: Optional[SearchConfig] = None,
     ) -> np.ndarray:
         """Batched lookup through the configured engine (§4.1's pipeline:
-        PSA reorder → frontier-compacted traversal → restore).
+        PSA reorder → level-flat descent → restore).
 
         Bit-identical to :meth:`search_batch`; ``config.engine`` selects
         the executor (``"compacted"`` by default, ``"naive"`` for the
@@ -399,7 +401,7 @@ class HarmoniaTree:
 
     @property
     def last_engine_stats(self) -> Optional[EngineStats]:
-        """Stats of the most recent compacted-engine execution (or None)."""
+        """Stats of the most recent engine execution (or None)."""
         return self._engine.last_stats if self._engine is not None else None
 
     def search_sorted_many(
@@ -417,7 +419,7 @@ class HarmoniaTree:
         default) through :meth:`~repro.core.engine.BatchQueryEngine.
         execute_hinted`, whose frontier carries lower-bound hints and
         prunes subtrees no probe lands in; with ``hinted=False`` through
-        the plain frontier-compacted ``execute``.  ``tile`` (a
+        the plain level-flat ``execute``.  ``tile`` (a
         :class:`~repro.join.tiles.TileConfig`) bounds peak traversal
         scratch to O(tile) via the tile scheduler.  Values are
         bit-identical to :meth:`search_many` on the same batch (the
@@ -476,9 +478,7 @@ class HarmoniaTree:
             if overlay is not None:
                 overlay(q, out)
             return out
-        executor = StreamExecutor.from_config(
-            self._layout, cfg, share_from=self.engine(cfg)
-        )
+        executor = StreamExecutor.from_config(self._layout, cfg)
         with obs.scoped(cfg.trace):
             out = executor.run(q, overlay=overlay)
         self._last_stream_stats = executor.last_stats

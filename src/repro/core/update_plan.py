@@ -953,7 +953,9 @@ class GappedBatchUpdater:
                 if self._epoch_due():
                     self._compaction_epoch()
 
-        if self._kr is None:
+        if self._kr is None or self._n_keys == 0:
+            # Every key deleted: publish the one empty-tree state the
+            # other executors publish, not a zero-key layout.
             self.new_layout = None
         else:
             self.new_layout = HarmoniaLayout(

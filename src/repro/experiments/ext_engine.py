@@ -1,13 +1,14 @@
-"""Extension — frontier compaction: the host-side PSA payoff, priced.
+"""Extension — the level-flat engine: the host-side PSA payoff, priced.
 
 Figure 12 shows PSA's win as a drop in ``gld_transactions``: grouped
 queries touch fewer distinct cache lines per warp.  The host-side batch
 engine (:mod:`repro.core.engine`) exploits the *same* locality — a
-PSA-grouped frontier is run-length encoded, so each tree node is read
-once per level instead of once per query.  This experiment measures both
-sides of the correspondence on one batch:
+PSA-grouped frontier is run-length encoded (few distinct nodes per
+level), and its one-``searchsorted``-per-level descent walks neighbouring
+memory.  This experiment measures both sides of the correspondence on
+one batch:
 
-* wall-clock: naive broadcast traversal vs the compacted engine (and the
+* wall-clock: naive broadcast traversal vs the level-flat engine (and the
   sharded multi-worker variant);
 * counters: the engine's ``unique_nodes_per_level`` total vs the
   simulator's ``gld_transactions``, for a PSA-grouped batch and for the
@@ -52,7 +53,7 @@ def run(scale="default", seed: int = 0) -> ExperimentResult:
 
     result = ExperimentResult(
         experiment="ext_engine",
-        title="Frontier-compacted host engine: PSA locality on the CPU path",
+        title="Level-flat host engine: PSA locality on the CPU path",
         scale=sc.name,
         paper_reference={
             "claim": "§4.1 / Fig 12 — grouped queries coalesce memory traffic; "

@@ -68,7 +68,7 @@ def run(scale="default", seed: int = 0,
         paper_reference={
             "claim": "beyond the paper — JZ-tree dual walks: joining two "
             "trees prunes every subtree pair whose key ranges are "
-            "disjoint; the frontier-compacted engine's hinted walk is "
+            "disjoint; the engine's hinted walk is "
             "that prune in level order"
         },
     )

@@ -3,7 +3,7 @@
 The level-wise FPGA batch-search paper (PAPERS.md) bounds on-chip memory
 by processing a large batch through the tree level by level in fixed
 tiles.  The host analog (:class:`repro.join.tiles.TileScheduler`,
-docs/join.md) drives each tile through the frontier-compacted engine
+docs/join.md) drives each tile through the level-flat engine
 with recycled scratch, so the resident traversal footprint is O(tile)
 however large the batch.
 

@@ -2,7 +2,7 @@
 
 Two read surfaces the PR 1–9 stack made possible (ROADMAP "new
 scenarios"): :func:`merge_join` walks one Harmonia tree's leaf region as
-a sorted probe stream through another tree via the frontier-compacted
+a sorted probe stream through another tree via the level-flat
 engine's hinted dual walk (JZ-tree style subtree pruning), and
 :class:`TileScheduler` drives any batch level-by-level in fixed-size
 tiles so peak traversal memory is O(tile) (the FPGA level-wise batch-

@@ -4,7 +4,7 @@ A B+tree's leaf region *is* a sorted stream (§3.1's consecutive leaf
 block, gap-aware since the gapped layout), so joining two Harmonia trees
 never needs to materialize either side into a hash table: ``tree_a``'s
 visible items become an ascending probe batch, and ``tree_b`` resolves
-it through the frontier-compacted engine's **hinted dual walk**
+it through the level-flat engine's **hinted dual walk**
 (:meth:`~repro.core.engine.BatchQueryEngine.execute_hinted`) — each
 level's ``searchsorted`` starts from the previous frontier and whole
 ``tree_b`` subtrees that no probe lands in are pruned before they are
@@ -170,7 +170,7 @@ def merge_join(
     :class:`~repro.core.epoch.EpochManager` (pinned once for the whole
     join) or a :class:`~repro.shard.ShardedTree`.  ``tile`` bounds peak
     traversal scratch (docs/join.md's tiling discipline);
-    ``hinted=False`` falls back to the plain frontier-compacted engine
+    ``hinted=False`` falls back to the plain level-flat engine
     (the bench baseline).  Results are byte-identical to
     :func:`sort_merge_reference` on both sides' visible items.
     """

@@ -3,7 +3,7 @@
 The level-wise FPGA batch-search paper (PAPERS.md) processes a huge
 query batch through a B+tree one level at a time in fixed-size tiles so
 the on-chip footprint is O(tile), not O(batch).  The host analog: the
-frontier-compacted engine's scratch pools are shape-sticky
+level-flat engine's scratch pools are shape-sticky
 (:class:`~repro.core.engine.EngineScratch`), so driving a 2^22-query
 batch through the engine in 2^16-query tiles keeps every traversal
 buffer — node/tmp/slot frontiers, broadcast row windows, leaf-finish

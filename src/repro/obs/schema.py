@@ -81,16 +81,15 @@ CATALOGUE: List[MetricSpec] = [
     MetricSpec("engine.batches", "counter", "batches",
                "BatchQueryEngine.execute calls"),
     MetricSpec("engine.queries", "counter", "queries",
-               "point lookups executed by the compacted engine"),
-    MetricSpec("engine.levels.grouped", "counter", "levels",
-               "level executions taken by the grouped (per-run searchsorted) "
-               "strategy"),
-    MetricSpec("engine.levels.broadcast", "counter", "levels",
-               "level executions that fell back to the broadcast compare"),
-    MetricSpec("engine.levels.capped", "counter", "levels",
-               "broadcast level executions that swept only the per-level NTG "
-               "scan window (a multiple of the level's degree) instead of "
-               "the full key row"),
+               "point lookups executed by the level-flat engine"),
+    MetricSpec("engine.level_arrays.builds", "counter", "builds",
+               "per-snapshot level arrays (internal level keys + packed "
+               "leaf block) built on first use of a layout"),
+    MetricSpec("engine.level_arrays.hits", "counter", "lookups",
+               "engine executions that found the snapshot's level arrays "
+               "already built (shared by every reader of the layout)"),
+    MetricSpec("engine.level_arrays.bytes", "gauge", "bytes",
+               "resident bytes of the current snapshot's level arrays"),
     MetricSpec("engine.node_reads", "counter", "nodes",
                "distinct node-row reads performed (sum of frontier runs over "
                "levels) — the host analog of gld_transactions"),
@@ -331,7 +330,7 @@ CATALOGUE: List[MetricSpec] = [
                "sections)"),
     # ------------------------------------------------------------- spans
     MetricSpec("engine.execute", "span", "-",
-               "one compacted-engine batch execution"),
+               "one engine batch execution"),
     MetricSpec("stream.run", "span", "-",
                "one full stream run (all batches)"),
     MetricSpec("stream.tile_run", "span", "-",

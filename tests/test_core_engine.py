@@ -72,8 +72,6 @@ class TestEngineUnits:
         with pytest.raises(ConfigError):
             BatchQueryEngine(small_layout, min_parallel=0)
         with pytest.raises(ConfigError):
-            BatchQueryEngine(small_layout, group_threshold=0)
-        with pytest.raises(ConfigError):
             BatchQueryEngine("not a layout")
 
     def test_empty_batch(self, small_layout):
@@ -101,9 +99,9 @@ class TestEngineUnits:
         assert st_.issue_sorted is True
         assert st_.total_node_reads < st_.naive_node_reads
         assert st_.compaction_ratio > 1.0
-        assert st_.grouped_levels + st_.broadcast_levels == (
-            medium_layout.height - 1
-        )
+        # Every level runs the same level-flat step: no fallback.
+        assert st_.broadcast_levels == 0
+        assert st_.n_chunks == 1
 
     def test_scratch_reused_across_same_shape_batches(self, medium_layout, rng):
         eng = BatchQueryEngine(medium_layout)
@@ -287,7 +285,7 @@ def test_engine_smoke_counter_monotone(medium_layout, medium_keys, rng):
     assert counter[0] == 1 and counter[-1] <= q.size
 
 
-# -------------------------------------------------- out= and leaf sharing
+# ------------------------------------------------ out= and level arrays
 
 
 def test_execute_out_buffer(medium_layout, medium_keys, rng):
@@ -307,15 +305,39 @@ def test_execute_out_buffer(medium_layout, medium_keys, rng):
         eng.execute(q, out=np.empty(q.size, dtype=np.float32))
 
 
-def test_share_packed_leaves(medium_layout, medium_keys, rng):
-    donor = BatchQueryEngine(medium_layout)
-    taker = BatchQueryEngine(medium_layout)
-    taker.share_packed_leaves(donor)
-    # Shared block is the same object, built once.
-    assert taker._packed_keys is donor._packed_keys
-    assert taker._packed_values is donor._packed_values
-    q = rng.choice(medium_keys, 500).astype(np.int64)
-    assert np.array_equal(taker.execute(q), donor.execute(q))
-    other = HarmoniaLayout.from_sorted(make_key_set(100, rng=3), fanout=8)
-    with pytest.raises(ConfigError):
-        BatchQueryEngine(other).share_packed_leaves(donor)
+def test_level_arrays_shared_per_snapshot(rng):
+    """Every reader of one snapshot sees the *same* level-array objects:
+    engines, tree facades and unpinned EpochManager reads never rebuild
+    them per call (the per-call packed-leaf rebuild regression)."""
+    import repro.obs as obs
+    from repro.core.engine import level_arrays
+    from repro.core.epoch import EpochManager
+
+    keys = make_key_set(20_000, rng=5)
+    tree = HarmoniaTree.from_sorted(keys, fanout=16, fill=0.7)
+    layout = tree.layout
+    arrays = level_arrays(layout)
+    assert level_arrays(layout) is arrays
+    assert len(arrays.level_keys) == layout.height - 1
+    a, b = BatchQueryEngine(layout), BatchQueryEngine(layout)
+    assert a._packed_leaves()[0] is b._packed_leaves()[0] is arrays.packed_keys
+    assert a._packed_leaves()[1] is b._packed_leaves()[1]
+    f1, f2 = HarmoniaTree(layout), HarmoniaTree(layout)
+    q = rng.choice(keys, 500).astype(np.int64)
+    assert np.array_equal(f1.search_many(q), f2.search_many(q))
+    assert f1.engine() is not f2.engine()
+    assert layout._level_arrays is arrays
+    mgr = EpochManager(tree)
+    with obs.recording() as rec:
+        for _ in range(2):
+            assert np.array_equal(mgr.search_many(q), q)
+            assert mgr.pin().layout._level_arrays is arrays
+    counters = rec.snapshot()["counters"]
+    assert "engine.level_arrays.builds" not in counters
+    assert counters["engine.level_arrays.hits"] == 2
+    # A batch update publishes a new snapshot with its own arrays.
+    from repro.core.update import Operation
+
+    tree.apply_batch([Operation("insert", int(keys[-1]) + 1, 1)])
+    assert level_arrays(tree.layout) is not arrays
+    assert all(not x.flags.writeable for x in arrays.level_keys)

@@ -14,9 +14,10 @@ emptying the tree mid-batch, and the non-mutation guarantee.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.constants import NOT_FOUND
 from repro.core import EpochManager, HarmoniaTree, UpdateConfig
 from repro.core.update import Operation
 from repro.core.update_plan import GappedBatchUpdater
@@ -48,9 +49,10 @@ def assert_results_equivalent(scalar_tree, sres, gapped_tree, gres,
     assert len(scalar_tree) == len(gapped_tree)
     assert list(scalar_tree.items()) == list(gapped_tree.items())
     probe = np.arange(probe_hi, dtype=np.int64)
-    assert np.array_equal(
-        scalar_tree.search_batch(probe), gapped_tree.search_batch(probe)
-    )
+    expected = scalar_tree.search_batch(probe)
+    assert np.array_equal(expected, gapped_tree.search_batch(probe))
+    assert np.array_equal(expected, gapped_tree.search_many(probe))
+    assert np.array_equal(expected, gapped_tree.search_stream(probe))
     if gapped_tree._layout is not None:
         gapped_tree._layout.check_invariants()
 
@@ -85,6 +87,9 @@ class TestEquivalenceProperty:
         raw=st.lists(op_strategy, min_size=1, max_size=100),
         window=st.sampled_from([1, 3, 17]),
     )
+    # Deleting the only key once left a zero-key layout behind, on which
+    # every batch read path raised EmptyTreeError.
+    @example(n_keys=1, raw=[("delete", 0)], window=1)
     def test_windowed_streaming(self, n_keys, raw, window):
         """Tiny plan windows (down to one op per window) stream the batch
         through many plan/apply rounds — results must not depend on the
@@ -212,6 +217,19 @@ class TestMovementTriggers:
         res = tree.apply_batch(ops, cfg)
         assert res.deleted == 10 and res.inserted == 2
         assert list(tree.items()) == [(5, 55), (7, 77)]
+
+    def test_emptied_tree_through_sync_epoch_manager(self):
+        mgr = EpochManager(make_tree(1, 8, 0.7),
+                           update_config=UpdateConfig(mode="gapped"))
+        mgr.submit(Operation("delete", 0))
+        assert mgr.flush().deleted == 1
+        assert mgr.pin()._layout is None  # the empty-tree state
+        probe = np.arange(4, dtype=np.int64)
+        for read in (mgr.search_batch, mgr.search_many, mgr.search_stream):
+            assert np.all(read(probe) == NOT_FOUND)
+        mgr.submit(Operation("insert", 3, 33))
+        mgr.flush()
+        assert list(mgr.search_many(probe)) == [NOT_FOUND] * 3 + [33]
 
     def test_emptying_the_tree_entirely_yields_empty(self):
         tree = make_tree(8, 4, 1.0)

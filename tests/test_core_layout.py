@@ -125,6 +125,28 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation):
             layout.check_invariants()
 
+    def test_detects_key_outside_routing_interval(self, small_keys):
+        # Row stays sorted and key/child counts stay consistent, but the
+        # second level-1 node's first key drops below its parent's
+        # separator: its level's keys are no longer globally sorted, so
+        # the level-flat descent would route past it.
+        layout = HarmoniaLayout.from_sorted(small_keys, fanout=8)
+        assert layout.height >= 3
+        layout.key_region = layout.key_region.copy()
+        node = int(layout.level_starts[1]) + 1
+        layout.key_region[node, 0] = layout.key_region[0, 0] - 1
+        with pytest.raises(InvariantViolation, match="routing interval"):
+            layout.check_invariants()
+
+    def test_detects_leaf_key_outside_routing_interval(self, small_keys):
+        layout = HarmoniaLayout.from_sorted(small_keys, fanout=8)
+        layout.key_region = layout.key_region.copy()
+        leaf = layout.leaf_start + 1
+        lo = int(layout.leaf_bounds()[1])
+        layout.key_region[leaf, 0] = lo - 1
+        with pytest.raises(InvariantViolation, match="routing interval"):
+            layout.check_invariants()
+
     def test_detects_wrong_n_keys(self, small_keys):
         layout = HarmoniaLayout.from_sorted(small_keys, fanout=8)
         layout.n_keys += 1
